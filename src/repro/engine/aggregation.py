@@ -103,10 +103,9 @@ def hash_aggregate(
             )
         values = catalog.table(table_name).column(column).values[tuples[table_name]]
         key_rows.append(values.astype(np.int64))
-    stacked = np.stack(key_rows)
-    # Composite keys -> one integer id per distinct combination.
-    uniques, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    table.insert_stream(inverse)
+    uniques, inverse = group_ids(np.stack(key_rows))
+    # Every group id is a distinct key arriving at a fresh table.
+    table.insert_distinct_total(uniques.shape[1])
     values = _aggregate_values(catalog, query, tuples, inverse, table.distinct)
 
     return AggregationResult(
@@ -123,6 +122,38 @@ def hash_aggregate(
         values=values,
         group_keys=uniques,
     )
+
+
+#: largest combined code a key-by-key fold may produce before it is
+#: re-densified (keeps ``code * size + rank`` inside int64)
+_MAX_CODE = np.iinfo(np.int64).max
+
+
+def group_ids(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct key combinations and each row's group id.
+
+    ``stacked`` holds one int64 row per group-by key.  The result equals
+    ``np.unique(stacked, axis=1, return_inverse=True)`` -- groups in
+    lexicographic key order -- without its row-wise void-dtype sort: every
+    key is factorized to dense ranks, the ranks are folded into one int64
+    code per row (first key most significant, so code order is key order),
+    and a 1-D unique over the codes numbers the groups.  A fold that could
+    overflow re-densifies the code first.
+    """
+    factors = [np.unique(row, return_inverse=True) for row in stacked]
+    if len(factors) == 1:
+        values, rank = factors[0]
+        return values[None, :], rank
+    cardinality, code = factors[0][0].size, factors[0][1]
+    for values, rank in factors[1:]:
+        size = values.size
+        if cardinality > _MAX_CODE // size:
+            dense, code = np.unique(code, return_inverse=True)
+            cardinality = dense.size
+        code = code * size + rank
+        cardinality *= size
+    _codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return stacked[:, first], inverse
 
 
 def _aggregate_values(

@@ -116,12 +116,10 @@ def hash_join_step(
             f"cap of {max_intermediate_rows}"
         )
     repeat_index = np.repeat(np.arange(old_keys.size), counts)
-    if old_keys.size:
-        take = np.concatenate(
-            [np.arange(a, b) for a, b in zip(lo, hi)]
-        ).astype(np.int64)
-    else:
-        take = np.empty(0, dtype=np.int64)
+    # Output slot j of probe row i (whose matches start at output offset
+    # starts[i]) takes sorted build row lo[i] + (j - starts[i]).
+    starts = np.cumsum(counts) - counts
+    take = np.arange(out_rows, dtype=np.int64) + np.repeat(lo - starts, counts)
 
     execution.tuples = {
         table: rows[repeat_index] for table, rows in execution.tuples.items()

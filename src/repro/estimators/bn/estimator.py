@@ -9,13 +9,17 @@ formats before calculating selectivities".
 from __future__ import annotations
 
 import threading
+import time
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
 from repro.estimators.bn.kernels import EvidenceCache, KernelPlan, resolve_backend
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, TablePredicate
 from repro.storage.catalog import Catalog
 
@@ -30,11 +34,14 @@ class BNCountEstimator(CountEstimator):
         models: dict[str, TreeBayesNet],
         kernel: str | None = None,
         evidence_cache: EvidenceCache | None = None,
+        metrics: MetricsRegistry | None = None,
     ):
         self.models = dict(models)
         #: resolved kernel backend ("numpy"/"numba"/"off"); see REPRO_BN_KERNEL
         self.kernel_backend = resolve_backend(kernel)
         self.evidence_cache = evidence_cache
+        #: receives ``bn_kernel_*`` counters and kernel build times
+        self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self._kernel_plans: dict[str, KernelPlan] = {}
         self._kernel_lock = threading.Lock()
 
@@ -65,7 +72,11 @@ class BNCountEstimator(CountEstimator):
             raise EstimationError(f"no BN model for table {table!r}") from None
 
     def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (None when the kernel is off)."""
+        """The table's compiled kernel plan (None when the kernel is off).
+
+        Compiled once per table per estimator; build time lands in the
+        ``bn_kernel_build_seconds`` histogram.
+        """
         if self.kernel_backend == "off":
             return None
         plan = self._kernel_plans.get(table)
@@ -73,20 +84,76 @@ class BNCountEstimator(CountEstimator):
             with self._kernel_lock:
                 plan = self._kernel_plans.get(table)
                 if plan is None:
+                    start = time.perf_counter()
                     plan = KernelPlan(
                         self.model_for(table).init_context(),
                         backend=self.kernel_backend,
                     )
+                    self.metrics.histogram("bn_kernel_build_seconds").observe(
+                        time.perf_counter() - start
+                    )
                     self._kernel_plans[table] = plan
         return plan
 
+    def count_kernel_run(self, columns: int) -> None:
+        """Account one kernel invocation covering ``columns`` columns."""
+        if self.metrics.enabled:
+            self.metrics.counter("bn_kernel_batches_total").inc()
+            self.metrics.counter("bn_kernel_queries_total").inc(columns)
+
+    def evidence_packs(
+        self,
+        model: TreeBayesNet,
+        plan: KernelPlan,
+        predicate_lists: Sequence[Sequence[TablePredicate]],
+    ) -> list[np.ndarray]:
+        """Kernel evidence packs, column ``b`` holding ``predicate_lists[b]``.
+
+        Bin-mask vectors come from the evidence cache when one is installed.
+        """
+        cache = self.evidence_cache
+        packs = plan.ones_packs(len(predicate_lists))
+        for b, predicates in enumerate(predicate_lists):
+            for pred in predicates:
+                if pred.table != model.table_name:
+                    raise EstimationError(
+                        f"predicate on {pred.table!r} given to BN of "
+                        f"{model.table_name!r}"
+                    )
+                index = model.column_index(pred.column)
+                discretizer = model.discretizers[pred.column]
+                vector = (
+                    cache.vector(discretizer, pred)
+                    if cache is not None
+                    else discretizer.evidence(pred)
+                )
+                plan.apply_evidence(packs, index, b, vector)
+        return packs
+
     # ------------------------------------------------------------------
     def table_selectivity(self, query: CardQuery, table: str) -> float:
-        """Selectivity of all predicates (incl. OR-groups) on ``table``."""
+        """Selectivity of all predicates (incl. OR-groups) on ``table``.
+
+        Every conjunctive term is one kernel sweep at batch size 1 -- never
+        folded into a wider one, whose BLAS blocking could move low bits --
+        so the result is bitwise :func:`scalar_table_selectivity`.  With
+        the kernel off the terms run :meth:`TreeBayesNet.selectivity`.
+        """
         model = self.model_for(table)
         base = [p for p in query.predicates if p.table == table]
         groups = table_or_groups(query, table)
-        return _selectivity_with_or_groups(model, base, groups)
+        plan = self.kernel_plan_for(table)
+        if plan is None:
+            return _selectivity_with_or_groups(model, base, groups)
+
+        def term(predicates: list[TablePredicate]) -> float:
+            if not predicates:
+                return 1.0  # TreeBayesNet.selectivity's no-pass shortcut
+            packs = self.evidence_packs(model, plan, [predicates])
+            self.count_kernel_run(1)
+            return float(plan.selectivities_packs(packs)[0])
+
+        return _selectivity_with_or_groups(model, base, groups, term)
 
     def selectivity(self, query: CardQuery) -> float:
         if not query.is_single_table():
@@ -113,8 +180,8 @@ class BNCountEstimator(CountEstimator):
         cache when the kernel is on (bitwise identical to
         :meth:`TreeBayesNet.estimate_rows_batch`), the context's
         ``selectivity_batch`` otherwise; queries carrying OR-groups take
-        the scalar inclusion-exclusion path.  Results align with the input
-        order.
+        the per-term inclusion-exclusion path of :meth:`estimate_count`.
+        Results align with the input order.
         """
         model = self.model_for(table)
         results: list[float | None] = [None] * len(queries)
@@ -144,23 +211,8 @@ class BNCountEstimator(CountEstimator):
         plan = self.kernel_plan_for(model.table_name)
         if plan is None:
             return model.estimate_rows_batch(predicate_lists)
-        cache = self.evidence_cache
-        packs = plan.ones_packs(len(predicate_lists))
-        for b, predicates in enumerate(predicate_lists):
-            for pred in predicates:
-                if pred.table != model.table_name:
-                    raise EstimationError(
-                        f"predicate on {pred.table!r} given to BN of "
-                        f"{model.table_name!r}"
-                    )
-                index = model.column_index(pred.column)
-                discretizer = model.discretizers[pred.column]
-                vector = (
-                    cache.vector(discretizer, pred)
-                    if cache is not None
-                    else discretizer.evidence(pred)
-                )
-                plan.apply_evidence(packs, index, b, vector)
+        packs = self.evidence_packs(model, plan, predicate_lists)
+        self.count_kernel_run(len(predicate_lists))
         return plan.selectivities_packs(packs) * model.total_rows
 
     def estimation_overhead(self, query: CardQuery) -> float:
@@ -188,6 +240,19 @@ def table_or_groups(
         for group in query.or_groups
         if any(p.table == table for p in group)
     ]
+
+
+def scalar_table_selectivity(
+    model: TreeBayesNet, query: CardQuery, table: str
+) -> float:
+    """``table``'s selectivity (incl. OR-groups) from scalar BN sweeps.
+
+    The uncompiled reference: one :meth:`TreeBayesNet.selectivity` per
+    conjunctive term, evidence assembled fresh.  Verification paths use it
+    as the oracle the kernel route must match bitwise.
+    """
+    base = [p for p in query.predicates if p.table == table]
+    return _selectivity_with_or_groups(model, base, table_or_groups(query, table))
 
 
 def _selectivity_with_or_groups(

@@ -16,11 +16,13 @@ Two inference modes are provided:
   frequencies, giving the upper-bound flavour of the original paper.
 
 Join queries run through **shared-belief inference plans**
-(:mod:`repro.estimators.factorjoin.plans`): one two-pass ``beliefs()``
-variable elimination per (table, predicate set) serves every join-key
-distribution, the local selectivity, and the OR-group correction of that
-scope -- bit-identical to the naive one-pass-per-call-site path, which is
-kept available as :meth:`estimate_count_unshared` for verification and
+(:mod:`repro.estimators.factorjoin.plans`): one two-pass belief sweep per
+(table, predicate set) serves every join-key distribution, the local
+selectivity, and the OR-group correction of that scope.  The sweeps run on
+each table's compiled :class:`KernelPlan` -- at batch size 1 for single
+queries, folded across scopes for micro-batches -- and single-query
+estimates are bit-identical to the naive one-pass-per-call-site path, which
+is kept available as :meth:`estimate_count_unshared` for verification and
 benchmarking.
 """
 
@@ -38,9 +40,10 @@ from repro.estimators.bn.estimator import (
     _selectivity_with_or_groups,
     or_expansion_term_predicates,
     or_expansion_terms,
+    scalar_table_selectivity,
     table_or_groups,
 )
-from repro.estimators.bn.kernels import EvidenceCache, KernelPlan, resolve_backend
+from repro.estimators.bn.kernels import EvidenceCache, KernelPlan
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
 from repro.estimators.factorjoin.buckets import JoinBucketizer
 from repro.estimators.factorjoin.plans import (
@@ -104,13 +107,6 @@ class FactorJoinEstimator(CountEstimator):
         #: cross-query (table, predicate-fingerprint) artifact store; the
         #: serving tier installs its generation-invalidated cache here
         self.plan_cache = plan_cache
-        #: fused-kernel backend: "numpy" / "numba" / "off"; ``None`` reads
-        #: the REPRO_BN_KERNEL environment variable (NumPy by default)
-        self.kernel_backend = resolve_backend(kernel)
-        #: per-table compiled kernel plans, built lazily on first use; the
-        #: models dict is immutable for the estimator's lifetime, so plans
-        #: never go stale (model refreshes rebuild the whole estimator)
-        self._kernel_plans: dict[str, KernelPlan] = {}
         #: per-table prior beliefs (all-ones evidence) -- unfiltered scopes
         #: of join-fan tables recur in every batch and their beliefs never
         #: change, so they are inferred once and served from here
@@ -124,13 +120,21 @@ class FactorJoinEstimator(CountEstimator):
             if evidence_cache is not None
             else EvidenceCache(registry=self.metrics)
         )
+        # The per-table BNs own the compiled kernel plans: single-table
+        # estimates and join priming walk the same trees, so each table's
+        # kernel is built (and counted) once.  The models dict is immutable
+        # for the estimator's lifetime, so plans never go stale (model
+        # refreshes rebuild the whole estimator).
         self._bn = BNCountEstimator(
-            models, kernel=self.kernel_backend, evidence_cache=self.evidence_cache
+            models,
+            kernel=kernel,
+            evidence_cache=self.evidence_cache,
+            metrics=self.metrics,
         )
-        # Both the single-table batch path and the join priming path walk
-        # the same per-table trees; share one compiled-plan dict so each
-        # table's kernel is built (and counted) once.
-        self._bn._kernel_plans = self._kernel_plans
+        #: fused-kernel backend: "numpy" / "numba" / "off"; ``None`` reads
+        #: the REPRO_BN_KERNEL environment variable (NumPy by default)
+        self.kernel_backend = self._bn.kernel_backend
+        self._kernel_plans = self._bn._kernel_plans
         self._local = threading.local()
         if self.metrics.enabled:
             # Pre-register so dashboards (and pass-ratio deltas) see zeros
@@ -198,28 +202,8 @@ class FactorJoinEstimator(CountEstimator):
         self._bn.evidence_cache = cache
 
     def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (``None`` when the path is off).
-
-        Compiled once per table per estimator; build time lands in the
-        ``bn_kernel_build_seconds`` histogram.
-        """
-        if self.kernel_backend == "off":
-            return None
-        plan = self._kernel_plans.get(table)
-        if plan is None:
-            with self._kernel_lock:
-                plan = self._kernel_plans.get(table)
-                if plan is None:
-                    start = time.perf_counter()
-                    plan = KernelPlan(
-                        self.model_for(table).init_context(),
-                        backend=self.kernel_backend,
-                    )
-                    self.metrics.histogram("bn_kernel_build_seconds").observe(
-                        time.perf_counter() - start
-                    )
-                    self._kernel_plans[table] = plan
-        return plan
+        """The table's compiled kernel plan (``None`` when the path is off)."""
+        return self._bn.kernel_plan_for(table)
 
     @property
     def last_pass_stats(self) -> PassStats | None:
@@ -248,6 +232,16 @@ class FactorJoinEstimator(CountEstimator):
         plans = QueryInferencePlans(
             self.model_for, query, source=self.plan_cache
         )
+        if self.kernel_backend != "off":
+            # Prime every pending scope at width 1; with the kernel off the
+            # scopes run their scalar passes on demand instead.
+            for table in query.tables:
+                plan = plans.plan_for(table)
+                if plan.artifacts.beliefs is None:
+                    kernel = self.kernel_plan_for(table)
+                    self._prime_with_kernel(
+                        table, kernel, [plan], plans.stats, fold=False
+                    )
         estimate = self._estimate_join(query, plans)
         self._record_pass_stats(plans.stats)
         return estimate
@@ -259,7 +253,9 @@ class FactorJoinEstimator(CountEstimator):
         shared-plan path is bit-identical and measure what it saves.
         """
         if query.is_single_table():
-            return self._bn.estimate_count(query)
+            table = query.tables[0]
+            model = self.model_for(table)
+            return scalar_table_selectivity(model, query, table) * model.total_rows
         tree = build_join_tree(query)
         root = query.tables[0]
         total = self._root_estimate(query, tree, root, None)
@@ -288,16 +284,7 @@ class FactorJoinEstimator(CountEstimator):
         """
         if any(not query.is_single_table() for query in queries):
             return self.estimate_join_batch(queries)
-        results = self._bn.estimate_count_batch(table, queries)
-        if self.kernel_backend != "off":
-            # The plain (no OR-group) slice of the batch ran as one fused
-            # kernel sweep inside the BN estimator; account for it here,
-            # where the metrics registry lives.
-            plain = sum(1 for query in queries if not query.or_groups)
-            if plain:
-                self.metrics.counter("bn_kernel_batches_total").inc()
-                self.metrics.counter("bn_kernel_queries_total").inc(plain)
-        return results
+        return self._bn.estimate_count_batch(table, queries)
 
     def estimate_join_batch(self, queries: list[CardQuery]) -> list[float]:
         """Estimate a batch of join COUNT queries with shared plans.
@@ -390,9 +377,7 @@ class FactorJoinEstimator(CountEstimator):
                 if prior is None:
                     run = kernel.run_packs(kernel.ones_packs(1))
                     stats.executed += 1
-                    if self.metrics.enabled:
-                        self.metrics.counter("bn_kernel_batches_total").inc()
-                        self.metrics.counter("bn_kernel_queries_total").inc()
+                    self._bn.count_kernel_run(1)
                     prior = (run.scope_beliefs(0), run.probability(0))
                     self._prior_beliefs[table] = prior
         return prior
@@ -403,16 +388,22 @@ class FactorJoinEstimator(CountEstimator):
         kernel: KernelPlan,
         table_plans: list[TableInferencePlan],
         stats: PassStats,
+        fold: bool = True,
     ) -> None:
-        """Fill every pending scope of ``table`` from one kernel sweep.
+        """Fill every pending scope of ``table`` from kernel sweeps.
 
         Each scope contributes one evidence column; scopes with OR-groups
         contribute one extra column per conjunctive expansion term, whose
         probabilities pre-seed the plan's term memo -- so the downstream
         inclusion-exclusion walk runs without a single further BN pass.
-        The whole invocation counts as one executed pass in ``stats``
-        (that is what actually ran), which is exactly how
-        ``PassStats.saved`` credits the folded lone scopes and terms.
+
+        With ``fold`` (micro-batches) all columns share one invocation,
+        which counts as one executed pass in ``stats`` (that is what
+        actually ran) -- exactly how ``PassStats.saved`` credits the folded
+        lone scopes and terms.  Without it (single queries) every column is
+        its own width-1 invocation and its own executed pass: a wider GEMM
+        may block differently in BLAS and move low bits, while width 1
+        reproduces the scalar sweeps bitwise.
         """
         model = self.model_for(table)
         specs: list[tuple[TableInferencePlan, tuple[TablePredicate, ...] | None]] = []
@@ -437,40 +428,30 @@ class FactorJoinEstimator(CountEstimator):
                     )
         if not specs:
             return
-        cache = self.evidence_cache
-        discretizers = model.discretizers
-        packs = kernel.ones_packs(len(specs))
-        for column, (plan, term) in enumerate(specs):
-            predicates = plan.base if term is None else term
-            for pred in predicates:
-                if pred.table != table:
-                    raise EstimationError(
-                        f"predicate on {pred.table!r} in scope of {table!r}"
-                    )
-                discretizer = discretizers[pred.column]
-                vector = (
-                    cache.vector(discretizer, pred)
-                    if cache is not None
-                    else discretizer.evidence(pred)
-                )
-                kernel.apply_evidence(
-                    packs, model.column_index(pred.column), column, vector
-                )
-        run = kernel.run_packs(packs)
-        stats.executed += 1
-        if self.metrics.enabled:
-            self.metrics.counter("bn_kernel_batches_total").inc()
-            self.metrics.counter("bn_kernel_queries_total").inc(len(specs))
-        for column, (plan, term) in enumerate(specs):
-            artifacts = plan.artifacts
-            if term is None:
-                with artifacts.lock:
-                    if artifacts.beliefs is None:
-                        artifacts.probability = run.probability(column)
-                        artifacts.beliefs = run.scope_beliefs(column)
+        for group in [specs] if fold else [[spec] for spec in specs]:
+            packs = self._bn.evidence_packs(
+                model,
+                kernel,
+                [plan.base if term is None else term for plan, term in group],
+            )
+            if fold or group[0][1] is None:
+                run = kernel.run_packs(packs)
+                probabilities = run.probabilities
             else:
+                # A lone OR term needs only its probability: the upward
+                # sweep alone, as on the scalar term path.
+                run = None
+                probabilities = kernel.selectivities_packs(packs)
+            stats.executed += 1
+            self._bn.count_kernel_run(len(group))
+            for column, (plan, term) in enumerate(group):
+                artifacts = plan.artifacts
                 with artifacts.lock:
-                    artifacts.terms.setdefault(term, run.probability(column))
+                    if term is not None:
+                        artifacts.terms.setdefault(term, float(probabilities[column]))
+                    elif artifacts.beliefs is None:
+                        artifacts.probability = float(probabilities[column])
+                        artifacts.beliefs = run.scope_beliefs(column)
 
     def _estimate_join(
         self, query: CardQuery, plans: QueryInferencePlans
@@ -528,7 +509,7 @@ class FactorJoinEstimator(CountEstimator):
     ) -> float:
         if plans is not None:
             return plans.plan_for(table).table_selectivity()
-        return self._bn.table_selectivity(query, table)
+        return scalar_table_selectivity(self.model_for(table), query, table)
 
     def _or_group_factor(
         self, query: CardQuery, table: str, base: list[TablePredicate]

@@ -105,7 +105,10 @@ def tokenize(sql: str) -> list[Token]:
                 j += 1
             word = sql[i:j]
             upper = word.upper()
-            if upper in KEYWORDS:
+            # A word right after a qualifier dot is a column name, even when
+            # it spells a keyword (``tags.Count``).
+            qualified = bool(tokens) and tokens[-1].type is TokenType.DOT
+            if upper in KEYWORDS and not qualified:
                 tokens.append(Token(TokenType.KEYWORD, upper, i))
             else:
                 tokens.append(Token(TokenType.IDENT, word, i))

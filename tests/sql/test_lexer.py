@@ -21,6 +21,14 @@ class TestBasics:
         assert token.type is TokenType.IDENT
         assert token.text == "myTable"
 
+    def test_keyword_after_qualifier_dot_is_identifier(self):
+        tokens = tokenize("SELECT COUNT(*) FROM tags WHERE tags.Count >= 3")
+        qualified = tokens[tokens.index(Token(TokenType.DOT, ".", 36)) + 1]
+        assert qualified.type is TokenType.IDENT
+        assert qualified.text == "Count"
+        # The aggregate itself still lexes as the keyword.
+        assert tokens[1].is_keyword("COUNT")
+
     def test_eof_always_last(self):
         assert tokenize("")[-1].type is TokenType.EOF
 

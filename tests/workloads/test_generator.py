@@ -46,16 +46,33 @@ class TestGeneratedQueries:
         b = job_hybrid(imdb, num_queries=10, seed=3)
         assert [q.to_sql() for q in a.queries] == [q.to_sql() for q in b.queries]
 
-    def test_queries_bindable_via_sql(self, imdb, imdb_workload):
-        """Every generated query round-trips through the SQL frontend."""
-        from repro.sql import bind_sql
+    def test_queries_bindable_via_sql(self, imdb, stats, aeolus):
+        """Every generated query round-trips through the SQL frontend.
 
-        for q in imdb_workload.queries[:8]:
-            rebound = bind_sql(q.to_sql(), imdb.catalog)
-            assert set(rebound.tables) == set(q.tables)
-            assert set(j.normalized() for j in rebound.joins) == set(
-                j.normalized() for j in q.joins
-            )
+        STATS has a ``tags.Count`` column: a qualified column whose name is
+        a keyword must still bind.
+        """
+        from repro.sql import bind_sql
+        from repro.workloads import aeolus_online, job_hybrid, stats_hybrid
+
+        for bundle, make_workload in (
+            (imdb, job_hybrid),
+            (stats, stats_hybrid),
+            (aeolus, aeolus_online),
+        ):
+            workload = make_workload(bundle, num_queries=40, seed=77)
+            for q in workload.queries + list(workload.ndv_queries):
+                rebound = bind_sql(q.to_sql(), bundle.catalog)
+                assert set(rebound.tables) == set(q.tables), q.to_sql()
+                assert set(j.normalized() for j in rebound.joins) == set(
+                    j.normalized() for j in q.joins
+                )
+                assert set(rebound.predicates) == set(q.predicates), q.to_sql()
+                assert {frozenset(g) for g in rebound.or_groups} == {
+                    frozenset(g) for g in q.or_groups
+                }
+                assert rebound.agg == q.agg
+                assert tuple(rebound.group_by) == tuple(q.group_by)
 
 
 class TestSpecKnobs:

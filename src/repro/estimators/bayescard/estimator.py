@@ -91,7 +91,7 @@ class BayesCardEstimator(CountEstimator):
             for group in query.or_groups
             if any(p.table == table for p in group)
         ]
-        return _selectivity_with_or_groups(model, base, groups)
+        return _selectivity_with_or_groups(base, groups, model.selectivity)
 
     def _expected_fanout(
         self, query: CardQuery, table: str, edge: JoinCondition

@@ -157,7 +157,12 @@ class Discretizer:
             b_hi = self.edges[bucket + 1]
             width = max(b_hi - b_lo, 1e-12)
             overlap = min(effective_high, b_hi) - max(effective_low, b_lo)
-            fraction = max(0.0, min(1.0, overlap / width))
+            # No overlap means no mass; dividing a huge negative overlap
+            # (a literal like -1e300) by a tiny width would overflow.
+            if overlap <= 0.0:
+                fraction = 0.0
+            else:
+                fraction = max(0.0, min(1.0, overlap / width))
             # Include the closed right endpoint of the last bin.
             if (
                 bucket == self.num_bins - 1

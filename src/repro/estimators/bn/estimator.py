@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
-from repro.estimators.bn.kernels import EvidenceCache, KernelPlan, resolve_backend
+from repro.estimators.bn.kernels import EvidenceCache, KernelPlan
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, TablePredicate
@@ -32,13 +32,10 @@ class BNCountEstimator(CountEstimator):
     def __init__(
         self,
         models: dict[str, TreeBayesNet],
-        kernel: str | None = None,
         evidence_cache: EvidenceCache | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.models = dict(models)
-        #: resolved kernel backend ("numpy"/"numba"/"off"); see REPRO_BN_KERNEL
-        self.kernel_backend = resolve_backend(kernel)
         self.evidence_cache = evidence_cache
         #: receives ``bn_kernel_*`` counters and kernel build times
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
@@ -71,24 +68,19 @@ class BNCountEstimator(CountEstimator):
         except KeyError:
             raise EstimationError(f"no BN model for table {table!r}") from None
 
-    def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (None when the kernel is off).
+    def kernel_plan_for(self, table: str) -> KernelPlan:
+        """The table's compiled kernel plan.
 
         Compiled once per table per estimator; build time lands in the
         ``bn_kernel_build_seconds`` histogram.
         """
-        if self.kernel_backend == "off":
-            return None
         plan = self._kernel_plans.get(table)
         if plan is None:
             with self._kernel_lock:
                 plan = self._kernel_plans.get(table)
                 if plan is None:
                     start = time.perf_counter()
-                    plan = KernelPlan(
-                        self.model_for(table).init_context(),
-                        backend=self.kernel_backend,
-                    )
+                    plan = KernelPlan(self.model_for(table).init_context())
                     self.metrics.histogram("bn_kernel_build_seconds").observe(
                         time.perf_counter() - start
                     )
@@ -136,15 +128,13 @@ class BNCountEstimator(CountEstimator):
 
         Every conjunctive term is one kernel sweep at batch size 1 -- never
         folded into a wider one, whose BLAS blocking could move low bits --
-        so the result is bitwise :func:`scalar_table_selectivity`.  With
-        the kernel off the terms run :meth:`TreeBayesNet.selectivity`.
+        so the result is bitwise one :meth:`TreeBayesNet.selectivity` per
+        inclusion-exclusion term.
         """
         model = self.model_for(table)
         base = [p for p in query.predicates if p.table == table]
         groups = table_or_groups(query, table)
         plan = self.kernel_plan_for(table)
-        if plan is None:
-            return _selectivity_with_or_groups(model, base, groups)
 
         def term(predicates: list[TablePredicate]) -> float:
             if not predicates:
@@ -153,7 +143,7 @@ class BNCountEstimator(CountEstimator):
             self.count_kernel_run(1)
             return float(plan.selectivities_packs(packs)[0])
 
-        return _selectivity_with_or_groups(model, base, groups, term)
+        return _selectivity_with_or_groups(base, groups, term)
 
     def selectivity(self, query: CardQuery) -> float:
         if not query.is_single_table():
@@ -175,13 +165,12 @@ class BNCountEstimator(CountEstimator):
     ) -> list[float]:
         """Estimate a batch of single-table COUNT queries on one table.
 
-        All plain conjunctive queries share one batched sum-product pass --
-        a fused :class:`KernelPlan` upward sweep fed from the evidence
-        cache when the kernel is on (bitwise identical to
-        :meth:`TreeBayesNet.estimate_rows_batch`), the context's
-        ``selectivity_batch`` otherwise; queries carrying OR-groups take
-        the per-term inclusion-exclusion path of :meth:`estimate_count`.
-        Results align with the input order.
+        All plain conjunctive queries share one :class:`KernelPlan` upward
+        sweep fed from the evidence cache (bitwise identical to
+        :meth:`BNInferenceContext.selectivity_batch` on the same evidence);
+        queries carrying OR-groups take the per-term inclusion-exclusion
+        path of :meth:`estimate_count`.  Results align with the input
+        order.
         """
         model = self.model_for(table)
         results: list[float | None] = [None] * len(queries)
@@ -209,8 +198,6 @@ class BNCountEstimator(CountEstimator):
         self, model: TreeBayesNet, predicate_lists: list[list[TablePredicate]]
     ):
         plan = self.kernel_plan_for(model.table_name)
-        if plan is None:
-            return model.estimate_rows_batch(predicate_lists)
         packs = self.evidence_packs(model, plan, predicate_lists)
         self.count_kernel_run(len(predicate_lists))
         return plan.selectivities_packs(packs) * model.total_rows
@@ -242,39 +229,23 @@ def table_or_groups(
     ]
 
 
-def scalar_table_selectivity(
-    model: TreeBayesNet, query: CardQuery, table: str
-) -> float:
-    """``table``'s selectivity (incl. OR-groups) from scalar BN sweeps.
-
-    The uncompiled reference: one :meth:`TreeBayesNet.selectivity` per
-    conjunctive term, evidence assembled fresh.  Verification paths use it
-    as the oracle the kernel route must match bitwise.
-    """
-    base = [p for p in query.predicates if p.table == table]
-    return _selectivity_with_or_groups(model, base, table_or_groups(query, table))
-
-
 def _selectivity_with_or_groups(
-    model: TreeBayesNet,
     base: list[TablePredicate],
     groups: list[list[TablePredicate]],
-    selectivity_fn: Callable[[list[TablePredicate]], float] | None = None,
+    selectivity_fn: Callable[[list[TablePredicate]], float],
 ) -> float:
     """Inclusion-exclusion over OR-groups, evaluated by the BN.
 
     ``P(base AND (g1a OR g1b) AND ...)`` expands into signed conjunctive
-    terms; each conjunctive term is one BN selectivity call.  The expansion
-    is exponential in the number of OR-groups, which is fine for the 1-2
-    groups real queries carry (the paper applies the same transform).
+    terms; each conjunctive term is one ``selectivity_fn`` call (one BN
+    sweep).  The expansion is exponential in the number of OR-groups, which
+    is fine for the 1-2 groups real queries carry (the paper applies the
+    same transform).
 
-    ``selectivity_fn`` substitutes the per-term evaluator -- shared-belief
-    inference plans inject a memoizing wrapper here so each distinct
-    conjunctive term is inferred at most once per plan, while the expansion
-    structure (term order, per-level clipping) stays exactly the naive one.
+    Shared-belief inference plans pass a memoizing ``selectivity_fn`` so
+    each distinct conjunctive term is inferred at most once per plan, while
+    the expansion structure (term order, per-level clipping) stays the same.
     """
-    if selectivity_fn is None:
-        selectivity_fn = model.selectivity
     if not groups:
         return selectivity_fn(base)
     total = 0.0
@@ -285,7 +256,7 @@ def _selectivity_with_or_groups(
         sign = (-1.0) ** (size + 1)
         for subset in combinations(first, size):
             total += sign * _selectivity_with_or_groups(
-                model, base + list(subset), rest, selectivity_fn
+                base + list(subset), rest, selectivity_fn
             )
     return float(min(max(total, 0.0), 1.0))
 

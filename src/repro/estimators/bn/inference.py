@@ -19,10 +19,13 @@ belief total.
 
 Both passes also come in batched form (``selectivity_batch`` /
 ``beliefs_batch``): evidence vectors become ``(bins, B)`` matrices, one
-column per query, and the tree messages become matrix products, so the
-Python/dispatch overhead of variable elimination is paid once for the whole
-batch.  The downward pass combines sibling messages with prefix/suffix
-running products, keeping it linear in the number of children.
+column per query, and the tree messages become matrix products.  The
+downward pass combines sibling messages with prefix/suffix running
+products, keeping it linear in the number of children.
+
+Estimators run the compiled :class:`~repro.estimators.bn.kernels.KernelPlan`
+sweep; these readable sweeps are the reference it is tested against
+bitwise.
 """
 
 from __future__ import annotations
@@ -232,8 +235,7 @@ class BNInferenceContext:
         query in the batch.  The sum-product messages become matrix products
         (``cpds[node] @ local`` maps ``(bins, B)`` to ``(parent_bins, B)``),
         so the per-query Python/dispatch overhead of variable elimination is
-        paid once for the batch -- this is what the serving tier's
-        micro-batcher amortizes.  Returns a ``(B,)`` selectivity vector.
+        paid once for the batch.  Returns a ``(B,)`` selectivity vector.
         """
         self._check_evidence_batch(evidence)
         _up, local = self._sweep_up(evidence)
@@ -259,8 +261,7 @@ class BNInferenceContext:
         entry has the same shape, column ``b`` holding what
         :meth:`beliefs` would return for query ``b`` alone.  One batched
         two-pass sum-product replaces ``B`` scalar ones -- the join-query
-        analogue of :meth:`selectivity_batch`, feeding the shared-belief
-        inference plans of the FactorJoin path.
+        analogue of :meth:`selectivity_batch`.
         """
         self._check_evidence_batch(evidence)
         up, local = self._sweep_up(evidence)

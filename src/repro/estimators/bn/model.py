@@ -85,45 +85,6 @@ class TreeBayesNet:
             return 1.0
         return context.selectivity(self.evidence_for(predicates))
 
-    def stacked_evidence_for(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> list[np.ndarray]:
-        """Per-node ``(bins, B)`` evidence matrices, one column per query."""
-        context = self.init_context()
-        batch = len(predicate_lists)
-        stacked = [
-            np.ones((context.bin_count(i), batch))
-            for i in range(len(self.columns))
-        ]
-        for b, predicates in enumerate(predicate_lists):
-            for pred in predicates:
-                if pred.table != self.table_name:
-                    raise EstimationError(
-                        f"predicate on {pred.table!r} given to BN of "
-                        f"{self.table_name!r}"
-                    )
-                index = self.column_index(pred.column)
-                stacked[index][:, b] *= self.discretizers[pred.column].evidence(
-                    pred
-                )
-        return stacked
-
-    def selectivity_batch(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> np.ndarray:
-        """P(all predicates) for many conjunctions in one inference pass.
-
-        Evidence columns of the whole batch are stacked per node so the
-        sum-product runs once with matrix messages; see
-        :meth:`BNInferenceContext.selectivity_batch`.
-        """
-        context = self.init_context()
-        if not predicate_lists:
-            return np.empty(0)
-        return context.selectivity_batch(
-            self.stacked_evidence_for(predicate_lists)
-        )
-
     def beliefs_for(
         self, predicates: list[TablePredicate]
     ) -> tuple[list[np.ndarray], float]:
@@ -137,23 +98,6 @@ class TreeBayesNet:
         """
         context = self.init_context()
         return context.beliefs(self.evidence_for(predicates))
-
-    def beliefs_batch(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Batched :meth:`beliefs_for`: column ``b`` of each ``(bins, B)``
-        matrix holds the beliefs of ``predicate_lists[b]``."""
-        context = self.init_context()
-        if not predicate_lists:
-            return [], np.empty(0)
-        return context.beliefs_batch(
-            self.stacked_evidence_for(predicate_lists)
-        )
-
-    def estimate_rows_batch(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> np.ndarray:
-        return self.selectivity_batch(predicate_lists) * self.total_rows
 
     def estimate_rows(self, predicates: list[TablePredicate]) -> float:
         return self.selectivity(predicates) * self.total_rows

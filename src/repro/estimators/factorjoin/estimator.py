@@ -20,10 +20,9 @@ Join queries run through **shared-belief inference plans**
 (table, predicate set) serves every join-key distribution, the local
 selectivity, and the OR-group correction of that scope.  The sweeps run on
 each table's compiled :class:`KernelPlan` -- at batch size 1 for single
-queries, folded across scopes for micro-batches -- and single-query
-estimates are bit-identical to the naive one-pass-per-call-site path, which
-is kept available as :meth:`estimate_count_unshared` for verification and
-benchmarking.
+queries, folded across scopes for micro-batches.  Single-query estimates
+are bit-identical to the naive one-scalar-pass-per-call-site walk, which
+the test suite keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
 from repro.estimators.bn.estimator import (
     BNCountEstimator,
-    _selectivity_with_or_groups,
     or_expansion_term_predicates,
     or_expansion_terms,
-    scalar_table_selectivity,
     table_or_groups,
 )
 from repro.estimators.bn.kernels import EvidenceCache, KernelPlan
@@ -95,7 +92,6 @@ class FactorJoinEstimator(CountEstimator):
         metrics: MetricsRegistry | None = None,
         plan_cache: ArtifactSource | None = None,
         evidence_cache: EvidenceCache | None = None,
-        kernel: str | None = None,
     ):
         if mode not in ("expected", "bound"):
             raise ValueError(f"unknown inference mode {mode!r}")
@@ -126,14 +122,8 @@ class FactorJoinEstimator(CountEstimator):
         # for the estimator's lifetime, so plans never go stale (model
         # refreshes rebuild the whole estimator).
         self._bn = BNCountEstimator(
-            models,
-            kernel=kernel,
-            evidence_cache=self.evidence_cache,
-            metrics=self.metrics,
+            models, evidence_cache=self.evidence_cache, metrics=self.metrics
         )
-        #: fused-kernel backend: "numpy" / "numba" / "off"; ``None`` reads
-        #: the REPRO_BN_KERNEL environment variable (NumPy by default)
-        self.kernel_backend = self._bn.kernel_backend
         self._kernel_plans = self._bn._kernel_plans
         self._local = threading.local()
         if self.metrics.enabled:
@@ -201,8 +191,8 @@ class FactorJoinEstimator(CountEstimator):
         self.evidence_cache = cache
         self._bn.evidence_cache = cache
 
-    def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (``None`` when the path is off)."""
+    def kernel_plan_for(self, table: str) -> KernelPlan:
+        """The table's compiled kernel plan."""
         return self._bn.kernel_plan_for(table)
 
     @property
@@ -232,46 +222,14 @@ class FactorJoinEstimator(CountEstimator):
         plans = QueryInferencePlans(
             self.model_for, query, source=self.plan_cache
         )
-        if self.kernel_backend != "off":
-            # Prime every pending scope at width 1; with the kernel off the
-            # scopes run their scalar passes on demand instead.
-            for table in query.tables:
-                plan = plans.plan_for(table)
-                if plan.artifacts.beliefs is None:
-                    kernel = self.kernel_plan_for(table)
-                    self._prime_with_kernel(
-                        table, kernel, [plan], plans.stats, fold=False
-                    )
+        # Prime every pending scope at width 1.
+        for table in query.tables:
+            plan = plans.plan_for(table)
+            if plan.artifacts.beliefs is None:
+                self._prime_with_kernel(table, [plan], plans.stats, fold=False)
         estimate = self._estimate_join(query, plans)
         self._record_pass_stats(plans.stats)
         return estimate
-
-    def estimate_count_unshared(self, query: CardQuery) -> float:
-        """The naive one-pass-per-call-site path, kept verbatim.
-
-        Exists so tests and ``bench_join_inference_latency`` can verify the
-        shared-plan path is bit-identical and measure what it saves.
-        """
-        if query.is_single_table():
-            table = query.tables[0]
-            model = self.model_for(table)
-            return scalar_table_selectivity(model, query, table) * model.total_rows
-        tree = build_join_tree(query)
-        root = query.tables[0]
-        total = self._root_estimate(query, tree, root, None)
-        return float(max(total, 0.0))
-
-    def naive_pass_count(self, query: CardQuery) -> int:
-        """BN passes :meth:`estimate_count_unshared` runs for ``query``."""
-        if query.is_single_table():
-            table = query.tables[0]
-            groups = table_or_groups(query, table)
-            if groups:
-                return or_expansion_terms(groups)
-            return 1 if any(p.table == table for p in query.predicates) else 0
-        plans = QueryInferencePlans(self.model_for, query)
-        self._root_estimate(query, build_join_tree(query), query.tables[0], plans)
-        return plans.stats.requested
 
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
@@ -292,9 +250,8 @@ class FactorJoinEstimator(CountEstimator):
         All queries share one artifact source, so identical (table,
         predicates) scopes are inferred once for the whole batch; every
         table's pending scopes (plus their OR-expansion terms) are primed
-        by a single fused :class:`KernelPlan` sweep -- or, with the kernel
-        off, by one ``beliefs_batch`` pass per table covering >= 2 scopes.
-        Results align with input order.
+        by a single :class:`KernelPlan` sweep.  Results align with input
+        order.
         """
         if not queries:
             return []
@@ -325,15 +282,12 @@ class FactorJoinEstimator(CountEstimator):
         plans_list: list[QueryInferencePlans | None],
         stats: PassStats,
     ) -> None:
-        """One fused kernel invocation per table's pending scopes.
+        """One kernel invocation per table's pending scopes.
 
-        With the kernel path on (the default), *every* table with at least
-        one pending scope is primed by a single :class:`KernelPlan` sweep
-        that also folds in lone scopes and the conjunctive terms of each
-        scope's OR expansion -- one pass per table per micro-batch.  With
-        ``REPRO_BN_KERNEL=off`` the PR 5 behavior is preserved verbatim:
-        one ``beliefs_batch`` per table covering >= 2 pending scopes,
-        lone scopes left to their scalar on-demand pass.
+        *Every* table with at least one pending scope is primed by a single
+        :class:`KernelPlan` sweep that also folds in lone scopes and the
+        conjunctive terms of each scope's OR expansion -- one pass per table
+        per micro-batch.
         """
         pending: dict[str, dict[int, TableInferencePlan]] = {}
         for plans in plans_list:
@@ -344,27 +298,7 @@ class FactorJoinEstimator(CountEstimator):
                 if plan.artifacts.beliefs is None:
                     pending.setdefault(table, {})[id(plan.artifacts)] = plan
         for table, scopes in pending.items():
-            table_plans = list(scopes.values())
-            kernel = self.kernel_plan_for(table)
-            if kernel is not None:
-                self._prime_with_kernel(table, kernel, table_plans, stats)
-                continue
-            if len(table_plans) < 2:
-                continue  # a lone scope gains nothing from a batched pass
-            bases = [plan.base for plan in table_plans]
-            node_beliefs, probabilities = self.model_for(table).beliefs_batch(
-                bases
-            )
-            stats.executed += 1
-            for column, plan in enumerate(table_plans):
-                artifacts = plan.artifacts
-                with artifacts.lock:
-                    if artifacts.beliefs is None:
-                        artifacts.probability = float(probabilities[column])
-                        artifacts.beliefs = [
-                            np.ascontiguousarray(matrix[:, column])
-                            for matrix in node_beliefs
-                        ]
+            self._prime_with_kernel(table, list(scopes.values()), stats)
 
     def _table_prior(
         self, table: str, kernel: KernelPlan, stats: PassStats
@@ -385,7 +319,6 @@ class FactorJoinEstimator(CountEstimator):
     def _prime_with_kernel(
         self,
         table: str,
-        kernel: KernelPlan,
         table_plans: list[TableInferencePlan],
         stats: PassStats,
         fold: bool = True,
@@ -406,6 +339,7 @@ class FactorJoinEstimator(CountEstimator):
         reproduces the scalar sweeps bitwise.
         """
         model = self.model_for(table)
+        kernel = self.kernel_plan_for(table)
         specs: list[tuple[TableInferencePlan, tuple[TablePredicate, ...] | None]] = []
         for plan in table_plans:
             if not plan.base:
@@ -459,7 +393,7 @@ class FactorJoinEstimator(CountEstimator):
         start = time.perf_counter()
         tree = build_join_tree(query)
         root = query.tables[0]
-        total = self._root_estimate(query, tree, root, plans)
+        total = self._root_estimate(tree, root, plans)
         self.metrics.histogram("bn_join_inference_seconds").observe(
             time.perf_counter() - start
         )
@@ -484,92 +418,53 @@ class FactorJoinEstimator(CountEstimator):
     # Factor-graph propagation
     # ------------------------------------------------------------------
     def _filtered_distribution(
-        self,
-        query: CardQuery,
-        table: str,
-        column: str,
-        plans: QueryInferencePlans | None,
+        self, table: str, column: str, plans: QueryInferencePlans
     ) -> np.ndarray:
-        """``P(column in bucket AND local predicates)`` via the table's BN."""
-        if plans is not None:
-            plan = plans.plan_for(table)
-            distribution = plan.distribution(column)
-            factor = plan.or_factor()
-            if factor != 1.0:
-                distribution = distribution * factor
-            return np.maximum(distribution, 0.0)
-        model = self.model_for(table)
-        predicates = [p for p in query.predicates if p.table == table]
-        distribution = model.distribution(column, predicates)
-        distribution = distribution * self._or_group_factor(query, table, predicates)
-        return np.maximum(distribution, 0.0)
-
-    def _local_selectivity(
-        self, query: CardQuery, table: str, plans: QueryInferencePlans | None
-    ) -> float:
-        if plans is not None:
-            return plans.plan_for(table).table_selectivity()
-        return scalar_table_selectivity(self.model_for(table), query, table)
-
-    def _or_group_factor(
-        self, query: CardQuery, table: str, base: list[TablePredicate]
-    ) -> float:
-        """Correction factor for OR-groups on ``table``.
+        """``P(column in bucket AND local predicates)`` via the table's BN.
 
         The bucket distribution is computed under the AND predicates only;
         OR-groups scale it by their conditional selectivity (assumed
         independent of the join key's bucket).
         """
-        groups = table_or_groups(query, table)
-        if not groups:
-            return 1.0
-        model = self.model_for(table)
-        with_groups = _selectivity_with_or_groups(model, base, groups)
-        without_groups = model.selectivity(base)
-        if without_groups <= 0.0:
-            return 0.0
-        return with_groups / without_groups
+        plan = plans.plan_for(table)
+        distribution = plan.distribution(column)
+        factor = plan.or_factor()
+        if factor != 1.0:
+            distribution = distribution * factor
+        return np.maximum(distribution, 0.0)
 
     def _subtree_weights(
         self,
-        query: CardQuery,
         tree: JoinTree,
         table: str,
         parent_join: JoinCondition,
-        plans: QueryInferencePlans | None,
+        plans: QueryInferencePlans,
     ) -> np.ndarray:
         """Per-bucket tuple weights of ``table``'s subtree, keyed on the
-        column joining ``table`` to its parent."""
-        if plans is not None:
-            return plans.subtree_weights(
-                table,
-                parent_join,
-                lambda: self._subtree_weights_impl(
-                    query, tree, table, parent_join, plans
-                ),
-            )
-        return self._subtree_weights_impl(query, tree, table, parent_join, None)
+        column joining ``table`` to its parent (memoized per query)."""
+        return plans.subtree_weights(
+            table,
+            parent_join,
+            lambda: self._subtree_weights_impl(tree, table, parent_join, plans),
+        )
 
     def _subtree_weights_impl(
         self,
-        query: CardQuery,
         tree: JoinTree,
         table: str,
         parent_join: JoinCondition,
-        plans: QueryInferencePlans | None,
+        plans: QueryInferencePlans,
     ) -> np.ndarray:
         parent_column = parent_join.side_for(table)
         rows = len(self.catalog.table(table))
-        weights = rows * self._filtered_distribution(
-            query, table, parent_column, plans
-        )
+        weights = rows * self._filtered_distribution(table, parent_column, plans)
         selectivity = max(
-            self._local_selectivity(query, table, plans), SELECTIVITY_FLOOR
+            plans.plan_for(table).table_selectivity(), SELECTIVITY_FLOOR
         )
 
         for child, join in tree[table]:
             own_column = join.side_for(table)
-            child_weights = self._subtree_weights(query, tree, child, join, plans)
+            child_weights = self._subtree_weights(tree, child, join, plans)
             multiplier = self._fanout_multiplier(child, join, child_weights)
             if own_column == parent_column:
                 weights = weights * multiplier
@@ -577,9 +472,7 @@ class FactorJoinEstimator(CountEstimator):
                 # Different join key: marginalize the multiplier over the
                 # key's filtered distribution (conditional independence of
                 # join keys given the filters -- FactorJoin's reduced form).
-                key_dist = self._filtered_distribution(
-                    query, table, own_column, plans
-                )
+                key_dist = self._filtered_distribution(table, own_column, plans)
                 conditional = key_dist / selectivity
                 scalar = float(np.sum(conditional * multiplier))
                 weights = weights * scalar
@@ -606,16 +499,12 @@ class FactorJoinEstimator(CountEstimator):
         )
 
     def _root_estimate(
-        self,
-        query: CardQuery,
-        tree: JoinTree,
-        root: str,
-        plans: QueryInferencePlans | None,
+        self, tree: JoinTree, root: str, plans: QueryInferencePlans
     ) -> float:
         """Combine the root's children; bucket-wise over the dominant key."""
         children = tree[root]
         rows = len(self.catalog.table(root))
-        selectivity = self._local_selectivity(query, root, plans)
+        selectivity = plans.plan_for(root).table_selectivity()
         if not children:
             return rows * selectivity
         # Group children by the root-side join column.
@@ -625,23 +514,19 @@ class FactorJoinEstimator(CountEstimator):
         # The column with the most children is handled bucket-wise; the rest
         # contribute scalar multipliers via their filtered distributions.
         keyed_column = max(by_column, key=lambda c: len(by_column[c]))
-        weights = rows * self._filtered_distribution(
-            query, root, keyed_column, plans
-        )
+        weights = rows * self._filtered_distribution(root, keyed_column, plans)
         local_selectivity = max(selectivity, SELECTIVITY_FLOOR)
         for child, join in by_column[keyed_column]:
-            child_weights = self._subtree_weights(query, tree, child, join, plans)
+            child_weights = self._subtree_weights(tree, child, join, plans)
             weights = weights * self._fanout_multiplier(child, join, child_weights)
         scalar = 1.0
         for column, group in by_column.items():
             if column == keyed_column:
                 continue
-            key_dist = self._filtered_distribution(query, root, column, plans)
+            key_dist = self._filtered_distribution(root, column, plans)
             conditional = key_dist / local_selectivity
             for child, join in group:
-                child_weights = self._subtree_weights(
-                    query, tree, child, join, plans
-                )
+                child_weights = self._subtree_weights(tree, child, join, plans)
                 multiplier = self._fanout_multiplier(child, join, child_weights)
                 scalar *= float(np.sum(conditional * multiplier))
         return float(weights.sum() * scalar)

@@ -1,8 +1,8 @@
 """Shared-belief inference plans: one BN pass per (table, predicates).
 
-The naive FactorJoin path re-runs a full two-pass ``beliefs()`` variable
-elimination for every ``_filtered_distribution`` call, again for
-``_local_selectivity``, and twice more per OR-group call site -- for the
+A naive FactorJoin walk re-runs a full two-pass ``beliefs()`` variable
+elimination for every filtered-distribution call, again for the local
+selectivity, and twice more per OR-group call site -- for the
 same table and the same predicate set within one query.  A single
 ``beliefs()`` pass already yields *every* node's joint vector at once, so
 all of those consumers can be served from one pass per (table,
@@ -18,12 +18,14 @@ AND-predicates) scope:
 serving tier's generation-invalidated plan cache) and across threads -- the
 container is lock-guarded and filled at most once.
 
-Bit-identity: the beliefs pass and the upward-only selectivity pass share
-one sweep implementation (:meth:`BNInferenceContext._sweep_up`), so the
+Bit-identity: for single queries the estimator fills each scope with
+width-1 :class:`~repro.estimators.bn.kernels.KernelPlan` sweeps, bitwise
+equal to the scalar :meth:`BNInferenceContext.beliefs`, so the
 plan-served probability and every plan-served distribution are *bitwise*
-equal to what the naive per-call-site path produces.  The OR-group
-expansion reuses the naive recursion verbatim, only swapping the per-term
-evaluator for a memoizing one.
+equal to what the naive per-call-site walk produces (the test suite keeps
+that walk as its oracle).  The OR-group expansion reuses the naive
+recursion verbatim, only swapping the per-term evaluator for a memoizing
+one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from repro.estimators.bn.estimator import (
     _selectivity_with_or_groups,
-    or_expansion_terms,
     table_or_groups,
 )
 from repro.estimators.bn.model import TreeBayesNet
@@ -227,9 +228,7 @@ class TableInferencePlan:
             calls += 1
             return self.term_selectivity(tuple(predicates))
 
-        value = _selectivity_with_or_groups(
-            self.model, self.base, self.or_groups, selectivity_fn=term
-        )
+        value = _selectivity_with_or_groups(self.base, self.or_groups, term)
         with artifacts.lock:
             if artifacts.or_selectivity is None:
                 artifacts.or_selectivity = value
@@ -245,12 +244,6 @@ class TableInferencePlan:
         if without_groups <= 0.0:
             return 0.0
         return with_groups / without_groups
-
-    def naive_pass_cost(self) -> int:
-        """Passes the naive path pays to evaluate this scope's selectivity."""
-        if self.or_groups:
-            return or_expansion_terms(self.or_groups)
-        return 1 if self.base else 0
 
 
 class QueryInferencePlans:

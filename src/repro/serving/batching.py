@@ -4,8 +4,9 @@ Single-table COUNT estimates against the same BN repeat the identical
 variable-elimination setup (evidence construction, topological message
 scheduling); :class:`MicroBatcher` groups requests that arrive within a
 small window and answers them with **one** batched sum-product pass
-(:meth:`TreeBayesNet.selectivity_batch`), amortizing that setup the way the
-paper's Inference Engine amortizes ``initContext``.
+(one :class:`~repro.estimators.bn.kernels.KernelPlan` upward sweep over
+the batch's stacked evidence), amortizing that setup the way the paper's
+Inference Engine amortizes ``initContext``.
 
 Leader/follower protocol: the first request for a batch key becomes the
 batch leader; it waits until the batch fills (``max_batch_size``) or the

@@ -118,4 +118,39 @@ class TestApproximateEvidence:
         assert abs(mass - truth) <= 2 * shared.total_rows / shared.num_bins + 2
 
 
+class TestExtremeLiterals:
+    """Literals far outside the edges give zero mass without a numpy
+    warning, even next to the near-zero-width bin heavy duplicates make."""
+
+    @pytest.fixture()
+    def disc(self):
+        values = np.concatenate([np.zeros(5000), np.arange(1000.0)])
+        disc = Discretizer(values, max_bins=8)
+        assert not disc.exact
+        assert np.diff(disc.edges).min() < 1e-12  # a near-zero-width bin
+        return disc
+
+    @pytest.mark.parametrize(
+        "op, value",
+        [
+            (PredicateOp.LT, -1e300),
+            (PredicateOp.LE, -1e300),
+            (PredicateOp.GT, 1e300),
+            (PredicateOp.GE, 1e300),
+            (PredicateOp.LT, -np.inf),
+            (PredicateOp.LE, -np.inf),
+            (PredicateOp.GT, np.inf),
+            (PredicateOp.GE, np.inf),
+            (PredicateOp.BETWEEN, (-1e300, -1e299)),
+            (PredicateOp.BETWEEN, (1e299, 1e300)),
+            (PredicateOp.BETWEEN, (-np.inf, -1e300)),
+            (PredicateOp.BETWEEN, (1e300, np.inf)),
+        ],
+    )
+    def test_out_of_range_literals_are_empty(self, disc, op, value):
+        with np.errstate(all="raise"):
+            vec = disc.evidence(_pred(op, value))
+        assert np.all(vec == 0.0)
+
+
 _UNIFORM_DISC = Discretizer(np.arange(10_000, dtype=np.float64), max_bins=50)

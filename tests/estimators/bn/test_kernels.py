@@ -1,12 +1,13 @@
 """Fused BN inference kernels: bit-identity, evidence cache, accounting.
 
-The tentpole invariant mirrors the PR 5 plan tests one level down: a
-:class:`KernelPlan` sweep -- flat or grouped, any batch width, any tree
-shape -- must be **bitwise** identical to ``beliefs`` / ``beliefs_batch``
-on the same evidence.  Around that core, these tests pin the evidence
-cache's generation semantics (including invalidation through a real
-``ModelLoader.refresh()``), the lone-scope / OR-term folding accounting,
-and the clean numba degradation when numba is absent.
+The core invariant: a :class:`KernelPlan` sweep -- any batch width, any
+tree shape, colliding CPD shapes included -- must be **bitwise** identical
+to ``BNInferenceContext.beliefs`` / ``beliefs_batch`` /
+``selectivity_batch`` on the same evidence.  Around that core, these tests
+pin the evidence cache's generation semantics (including invalidation
+through a real ``ModelLoader.refresh()`` and a miss racing a bump), the
+lone-scope / OR-term folding accounting against the naive scalar oracle,
+and the retired ``REPRO_BN_KERNEL`` switch.
 """
 
 import numpy as np
@@ -17,12 +18,15 @@ from repro.estimators.bn.discretize import Discretizer
 from repro.estimators.bn.inference import BNInferenceContext
 from repro.estimators.bn.kernels import (
     BACKEND_ENV,
-    HAVE_NUMBA,
     EvidenceCache,
     KernelPlan,
     resolve_backend,
 )
-from repro.estimators.factorjoin import FactorJoinEstimator, PassStats
+from repro.estimators.factorjoin import (
+    FactorJoinEstimator,
+    PlanArtifactSource,
+    QueryInferencePlans,
+)
 from repro.obs import MetricsRegistry, export_json
 from repro.sql.query import (
     CardQuery,
@@ -31,6 +35,7 @@ from repro.sql.query import (
     TablePredicate,
 )
 from repro.workloads.generator import WorkloadSpec, generate_workload
+from tests.estimators.oracles import NaiveFactorJoin
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +80,18 @@ def _star_chain_context(bins_list):
     return BNInferenceContext.from_structure(np.asarray(parents), cpds)
 
 
+def _has_shape_collision(context):
+    """True when two non-root CPDs share a shape."""
+    shapes = [
+        context.cpds[node].shape
+        for node in range(context.num_nodes)
+        if node != context.root
+    ]
+    return len(set(shapes)) < len(shapes)
+
+
 # ----------------------------------------------------------------------
-# Backend resolution
+# The retired backend switch
 # ----------------------------------------------------------------------
 class TestResolveBackend:
     @pytest.mark.parametrize("alias", ["", "numpy", "on", "1", "default"])
@@ -85,19 +100,20 @@ class TestResolveBackend:
 
     @pytest.mark.parametrize("alias", ["off", "0", "none", "disabled", "OFF"])
     def test_off_aliases(self, alias):
-        assert resolve_backend(alias) == "off"
-
-    def test_numba_degrades_without_numba(self):
-        resolved = resolve_backend("numba")
-        assert resolved == ("numba" if HAVE_NUMBA else "numpy")
+        # ``off`` names no path any more; asking for it must fail loudly
+        # rather than silently run the kernel.
+        with pytest.raises(ValueError, match="removed"):
+            resolve_backend(alias)
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
+        for value in ("cuda", "numba"):
+            with pytest.raises(ValueError, match="removed"):
+                resolve_backend(value)
 
     def test_environment_variable_consulted(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "off")
-        assert resolve_backend() == "off"
+        with pytest.raises(ValueError):
+            resolve_backend()
         monkeypatch.delenv(BACKEND_ENV)
         assert resolve_backend() == "numpy"
 
@@ -108,21 +124,18 @@ class TestResolveBackend:
 class TestKernelBitIdentity:
     def test_random_trees_bitwise_vs_beliefs_batch(self):
         rng = np.random.default_rng(7)
-        flat_seen = grouped_seen = 0
+        collisions = 0
         for trial in range(60):
             n = int(rng.integers(1, 12))
-            # Narrow bin ranges force shape collisions (grouped stacking);
-            # wide ranges make every shape unique (flat schedule).
+            # Narrow bin ranges force colliding CPD shapes; wide ranges
+            # make every shape unique.  Both run the same per-node sweep.
             context = (
                 _random_context(rng, n)
                 if trial % 2
                 else _random_context(rng, n, 3, 6)
             )
+            collisions += _has_shape_collision(context)
             plan = KernelPlan(context)
-            if plan.flat:
-                flat_seen += 1
-            else:
-                grouped_seen += 1
             for batch in (1, 2, 7, 16):
                 evidence = _random_evidence(rng, context, batch)
                 ref_beliefs, ref_probs = context.beliefs_batch(evidence)
@@ -130,9 +143,9 @@ class TestKernelBitIdentity:
                 for node in range(n):
                     assert np.array_equal(
                         ref_beliefs[node], run.beliefs_matrix(node)
-                    ), (trial, batch, node, plan.flat)
+                    ), (trial, batch, node)
                 assert np.array_equal(ref_probs, run.probabilities)
-        assert flat_seen and grouped_seen  # both layouts exercised
+        assert collisions  # colliding shapes exercised
 
     def test_batch_of_one_bitwise_vs_scalar_beliefs(self):
         rng = np.random.default_rng(13)
@@ -149,26 +162,6 @@ class TestKernelBitIdentity:
                     scalar_beliefs[node], run.beliefs_matrix(node)[:, 0]
                 )
             assert scalar_prob == run.probability(0)
-
-    def test_flat_and_grouped_schedules_agree_bitwise(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            context = _random_context(rng, int(rng.integers(2, 10)))
-            flat_plan = KernelPlan(context)
-            if not flat_plan.flat:
-                continue  # needs single-node groups to compare both
-            grouped_plan = KernelPlan(context, flat=False)
-            evidence = _random_evidence(rng, context, 5)
-            flat_run = flat_plan.run([e.copy() for e in evidence])
-            grouped_run = grouped_plan.run([e.copy() for e in evidence])
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    flat_run.beliefs_matrix(node),
-                    grouped_run.beliefs_matrix(node),
-                )
-            assert np.array_equal(
-                flat_run.probabilities, grouped_run.probabilities
-            )
 
     def test_ragged_star_chain_tree(self):
         context = _star_chain_context([4, 7, 4, 4, 9, 3, 9])
@@ -200,7 +193,7 @@ class TestKernelBitIdentity:
                     )
             assert np.array_equal(
                 reference, plan.selectivities_packs(packs)
-            ), (trial, plan.flat)
+            ), trial
 
     def test_scope_beliefs_columns_match_matrices(self):
         rng = np.random.default_rng(41)
@@ -216,44 +209,10 @@ class TestKernelBitIdentity:
                 )
                 assert not vector.flags.writeable
 
-    def test_flat_override_rejected_on_stacked_shapes(self):
-        # Two same-shaped siblings share a group; forcing flat must fail.
-        parents = np.asarray([-1, 0, 0])
-        rng = np.random.default_rng(1)
-        root = rng.random(4) + 0.1
-        kid = rng.random((4, 4)) + 0.1
-        context = BNInferenceContext.from_structure(
-            parents,
-            [root / root.sum(), *(2 * [kid / kid.sum(axis=1, keepdims=True)])],
-        )
-        assert not KernelPlan(context).flat
-        with pytest.raises(ModelError):
-            KernelPlan(context, flat=True)
-
     def test_empty_batch_rejected(self):
         context = _random_context(np.random.default_rng(2), 3)
         with pytest.raises(ModelError):
             KernelPlan(context).ones_packs(0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaParity:  # pragma: no cover - exercised only with numba
-    def test_numba_backend_bitwise_vs_numpy(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            context = _random_context(rng, int(rng.integers(2, 10)), 3, 6)
-            evidence = _random_evidence(rng, context, 8)
-            numpy_run = KernelPlan(context, backend="numpy", flat=False).run(
-                [e.copy() for e in evidence]
-            )
-            numba_run = KernelPlan(context, backend="numba", flat=False).run(
-                [e.copy() for e in evidence]
-            )
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    numpy_run.beliefs_matrix(node),
-                    numba_run.beliefs_matrix(node),
-                )
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +298,32 @@ class TestEvidenceCache:
         cache.vector(disc, b)
         assert cache.misses == 4  # b was the evictee
 
+    def test_miss_racing_a_bump_is_not_stored(self):
+        # A miss still running on the old model while a refresh bumps the
+        # table must not be cached under the new generation: the next
+        # lookup (on the new model) has to compute its own vector.
+        cache = EvidenceCache()
+        pred = _pred()
+
+        class _Disc:
+            num_bins = 3
+
+            def __init__(self, vector, on_evidence=None):
+                self._vector = np.asarray(vector, dtype=np.float64)
+                self._on_evidence = on_evidence
+
+            def evidence(self, _pred):
+                if self._on_evidence is not None:
+                    self._on_evidence()
+                return self._vector
+
+        old = _Disc([1.0, 0.0, 0.0], lambda: cache.bump_tables([pred.table]))
+        new = _Disc([0.0, 1.0, 1.0])
+        assert np.array_equal(cache.vector(old, pred), [1.0, 0.0, 0.0])
+        assert np.array_equal(cache.vector(new, pred), [0.0, 1.0, 1.0])
+        assert np.array_equal(cache.vector(new, pred), [0.0, 1.0, 1.0])
+        assert (cache.misses, cache.hits) == (2, 1)
+
 
 # ----------------------------------------------------------------------
 # Estimator integration: join batches, folding, accounting, metrics
@@ -362,15 +347,12 @@ def fj_kernel(trained, kernel_registry):
         trained.models,
         trained.bucketizer,
         metrics=kernel_registry,
-        kernel="numpy",
     )
 
 
 @pytest.fixture(scope="module")
-def fj_off(trained):
-    return FactorJoinEstimator(
-        trained.catalog, trained.models, trained.bucketizer, kernel="off"
-    )
+def naive(trained):
+    return NaiveFactorJoin(trained)
 
 
 @pytest.fixture(scope="module")
@@ -406,26 +388,60 @@ def _chain_query(reputation, score):
     )
 
 
+def _stacked_evidence(model, predicate_lists):
+    """Per-node ``(bins, B)`` evidence, column ``b`` for
+    ``predicate_lists[b]`` -- the oracle sweeps' batched input."""
+    evidence = [model.evidence_for(predicates) for predicates in predicate_lists]
+    return [
+        np.column_stack([ev[node] for ev in evidence])
+        for node in range(len(model.columns))
+    ]
+
+
 class TestEstimatorIntegration:
-    def test_join_batch_matches_plans_path(self, fj_kernel, fj_off, join_batch):
+    def test_join_batch_matches_plans_path(self, fj_kernel, naive, join_batch):
         assert join_batch
         kernel_results = fj_kernel.estimate_join_batch(join_batch)
-        off_results = fj_off.estimate_join_batch(join_batch)
-        # Kernel invocations fold OR-terms and priors into wider GEMMs, so
-        # widths (hence BLAS blocking, hence low bits) may differ from the
-        # plans path; values agree to fp noise.
+        naive_results = [naive.estimate_count(q) for q in join_batch]
+        # Kernel invocations fold scopes, OR-terms and priors into wider
+        # GEMMs, whose BLAS blocking may move low bits against the scalar
+        # passes of the naive walk; values agree to fp noise.
         np.testing.assert_allclose(
-            kernel_results, off_results, rtol=1e-9, atol=0.0
+            kernel_results, naive_results, rtol=1e-9, atol=0.0
         )
 
-    def test_join_batch_bitwise_when_widths_match(self, fj_kernel, fj_off):
-        # Every table carries two filtered scopes and no OR groups: the
-        # kernel assembles exactly the same evidence widths as the PR 5
-        # beliefs_batch pass, so results must be *bitwise* identical.
+    def test_join_batch_bitwise_when_widths_match(self, fj_kernel, trained):
+        # Every table carries filtered scopes and no OR groups, so each
+        # table is primed by one sweep over its distinct scopes (two for
+        # users and posts, one shared comments scope).  Filling the scopes
+        # from BNInferenceContext.beliefs_batch on the same evidence
+        # instead must give *bitwise* the same estimates.
         batch = [_chain_query(10.0, 40.0), _chain_query(25.0, 15.0)]
-        assert fj_kernel.estimate_join_batch(batch) == (
-            fj_off.estimate_join_batch(batch)
-        )
+        source = PlanArtifactSource()
+        all_plans = [
+            QueryInferencePlans(trained.model_for, q, source=source)
+            for q in batch
+        ]
+        for table in batch[0].tables:
+            model = trained.models[table]
+            scopes = list(
+                {
+                    id(plan.artifacts): plan
+                    for plan in (plans.plan_for(table) for plans in all_plans)
+                }.values()
+            )
+            beliefs, probabilities = model.init_context().beliefs_batch(
+                _stacked_evidence(model, [plan.base for plan in scopes])
+            )
+            for column, plan in enumerate(scopes):
+                plan.artifacts.probability = float(probabilities[column])
+                plan.artifacts.beliefs = [
+                    np.ascontiguousarray(matrix[:, column]) for matrix in beliefs
+                ]
+        expected = [
+            trained._estimate_join(q, plans) for q, plans in zip(batch, all_plans)
+        ]
+        assert fj_kernel.estimate_join_batch(batch) == expected
 
     def test_single_query_join_matches_batch_of_one(self, fj_kernel, join_batch):
         for query in join_batch[:6]:
@@ -434,7 +450,7 @@ class TestEstimatorIntegration:
                 fj_kernel.estimate_count(query), rel=1e-9
             )
 
-    def test_single_table_batch_bitwise(self, fj_kernel, fj_off, stats):
+    def test_single_table_batch_bitwise(self, fj_kernel, trained):
         queries = [
             CardQuery(
                 tables=("posts",),
@@ -444,13 +460,14 @@ class TestEstimatorIntegration:
             )
             for v in range(-2, 8)
         ]
-        assert fj_kernel.estimate_count_batch("posts", queries) == (
-            fj_off.estimate_count_batch("posts", queries)
+        model = trained.models["posts"]
+        stacked = _stacked_evidence(model, [list(q.predicates) for q in queries])
+        expected = (
+            model.init_context().selectivity_batch(stacked) * model.total_rows
         )
+        assert fj_kernel.estimate_count_batch("posts", queries) == list(expected)
 
-    def test_lone_scopes_and_terms_fold_into_one_pass(
-        self, fj_kernel, fj_off
-    ):
+    def test_lone_scopes_and_terms_fold_into_one_pass(self, fj_kernel, naive):
         query = _chain_query(10.0, 40.0)
         query = CardQuery(
             tables=query.tables,
@@ -465,18 +482,18 @@ class TestEstimatorIntegration:
         )
         fj_kernel.estimate_join_batch([query])
         kernel_stats = fj_kernel.last_pass_stats
-        fj_off.estimate_join_batch([query])
-        off_stats = fj_off.last_pass_stats
         # One kernel invocation per table, OR terms folded: 3 executed
-        # passes, with the expansion's extra terms all accounted as saved.
+        # passes, with everything else the naive walk runs accounted as
+        # saved.  Unfolded, the three scopes and the three distinct terms
+        # of the posts OR group would each be their own pass.
         assert kernel_stats.executed == len(query.tables)
-        assert kernel_stats.requested == off_stats.requested
-        assert kernel_stats.executed < off_stats.executed
-        assert kernel_stats.saved > off_stats.saved
+        assert kernel_stats.requested == naive.pass_count(query)
+        assert kernel_stats.saved == kernel_stats.requested - 3
+        assert kernel_stats.executed < len(query.tables) + 3
 
     def test_unfiltered_scope_served_from_prior_cache(self, trained):
         fj = FactorJoinEstimator(
-            trained.catalog, trained.models, trained.bucketizer, kernel="numpy"
+            trained.catalog, trained.models, trained.bucketizer
         )
         query = CardQuery(
             tables=("users", "posts"),

@@ -1,11 +1,12 @@
 """Shared-belief inference plans: bit-identity and pass accounting.
 
-The tentpole invariant: the shared-plan join path must return estimates
-**bit-identical** to the naive one-pass-per-call-site path, on every query
-shape the workload generator emits (chains, stars, multi-key joins, OR
-groups).  Alongside identity, the tests pin the pass accounting -- one
-executed BN pass per (table, predicates) scope, requested counts matching
-``naive_pass_count`` -- and the batch path's shared-artifact reuse.
+The core invariant: the shared-plan join path must return estimates
+**bit-identical** to the naive one-scalar-pass-per-call-site walk (the
+:class:`NaiveFactorJoin` oracle), on every query shape the workload
+generator emits (chains, stars, multi-key joins, OR groups).  Alongside
+identity, the tests pin the pass accounting -- one executed BN pass per
+(table, predicates) scope, requested counts matching the scalar passes the
+oracle runs -- and the batch path's shared-artifact reuse.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.sql.query import (
     TablePredicate,
 )
 from repro.workloads.generator import WorkloadSpec, generate_workload
+from tests.estimators.oracles import NaiveFactorJoin
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,11 @@ def stats_fj(stats, registry):
     return FactorJoinEstimator.train(
         stats.catalog, stats.filter_columns, metrics=registry
     )
+
+
+@pytest.fixture(scope="module")
+def naive(stats_fj):
+    return NaiveFactorJoin(stats_fj)
 
 
 @pytest.fixture(scope="module")
@@ -101,27 +108,23 @@ def _or_query() -> CardQuery:
 
 
 class TestBitIdentity:
-    def test_generated_workload(self, stats_fj, join_workload):
+    def test_generated_workload(self, stats_fj, naive, join_workload):
         assert join_workload  # the generator must yield join queries
         for query in join_workload:
             assert stats_fj.estimate_count(query) == (
-                stats_fj.estimate_count_unshared(query)
+                naive.estimate_count(query)
             ), query.name
 
     @pytest.mark.parametrize(
         "query_fn", [_chain_query, _multikey_query, _or_query]
     )
-    def test_query_shapes(self, stats_fj, query_fn):
+    def test_query_shapes(self, stats_fj, naive, query_fn):
         query = query_fn()
-        assert stats_fj.estimate_count(query) == (
-            stats_fj.estimate_count_unshared(query)
-        )
+        assert stats_fj.estimate_count(query) == naive.estimate_count(query)
 
-    def test_predicate_free_join(self, stats_fj):
+    def test_predicate_free_join(self, stats_fj, naive):
         query = _chain_query(predicates=())
-        assert stats_fj.estimate_count(query) == (
-            stats_fj.estimate_count_unshared(query)
-        )
+        assert stats_fj.estimate_count(query) == naive.estimate_count(query)
 
 
 class TestPassAccounting:
@@ -133,13 +136,13 @@ class TestPassAccounting:
         assert recorded.requested > recorded.executed
         assert recorded.saved == recorded.requested - recorded.executed
 
-    def test_requested_matches_naive_count(self, stats_fj, join_workload):
+    def test_requested_matches_naive_count(self, stats_fj, naive, join_workload):
         for query in join_workload:
-            naive = stats_fj.naive_pass_count(query)
+            naive_passes = naive.pass_count(query)
             stats_fj.estimate_count(query)
             recorded = stats_fj.last_pass_stats
-            assert recorded.requested == naive, query.name
-            assert recorded.executed <= naive
+            assert recorded.requested == naive_passes, query.name
+            assert recorded.executed <= naive_passes
 
     def test_or_groups_expand_requests_not_passes(self, stats_fj):
         stats_fj.estimate_count(_or_query())
@@ -195,24 +198,24 @@ class TestSubtreeMemoization:
 
 
 class TestJoinBatch:
-    def test_batch_matches_sequential(self, stats_fj, join_workload):
+    def test_batch_matches_sequential(self, stats_fj, naive, join_workload):
         queries = join_workload[:8]
-        sequential = [stats_fj.estimate_count_unshared(q) for q in queries]
+        sequential = [naive.estimate_count(q) for q in queries]
         batched = stats_fj.estimate_join_batch(queries)
         # The batched path may prime beliefs through a (bins, B) matmul,
         # whose reduction order differs from the vector path -- allclose,
         # not bitwise, is the contract here.
         np.testing.assert_allclose(batched, sequential, rtol=1e-9)
 
-    def test_batch_executes_fewer_passes(self, stats_fj, join_workload):
+    def test_batch_executes_fewer_passes(self, stats_fj, naive, join_workload):
         queries = join_workload[:8]
-        naive = sum(stats_fj.naive_pass_count(q) for q in queries)
+        naive_passes = sum(naive.pass_count(q) for q in queries)
         stats_fj.estimate_join_batch(queries)
         recorded = stats_fj.last_pass_stats
-        assert recorded.requested == naive
-        assert recorded.executed < naive
+        assert recorded.requested == naive_passes
+        assert recorded.executed < naive_passes
 
-    def test_mixed_batch_handles_single_table(self, stats_fj):
+    def test_mixed_batch_handles_single_table(self, stats_fj, naive):
         single = CardQuery(
             tables=("users",),
             predicates=(TablePredicate("users", "Views", PredicateOp.GE, 2.0),),
@@ -220,7 +223,7 @@ class TestJoinBatch:
         join = _chain_query()
         batched = stats_fj.estimate_join_batch([single, join])
         assert batched[0] == stats_fj.estimate_count(single)
-        assert batched[1] == stats_fj.estimate_count_unshared(join)
+        assert batched[1] == naive.estimate_count(join)
 
     def test_empty_batch(self, stats_fj):
         assert stats_fj.estimate_join_batch([]) == []

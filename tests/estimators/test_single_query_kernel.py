@@ -4,10 +4,10 @@
 ``estimate_count`` (single tables) run every BN sweep through the table's
 compiled :class:`KernelPlan` with cached evidence, one evidence column per
 invocation.  Width 1 reproduces the scalar sweeps bit for bit, so every
-estimate the optimizer asks for must equal the scalar oracle exactly --
-``estimate_count_unshared`` for joins, ``scalar_table_selectivity`` (one
-``TreeBayesNet.selectivity`` per inclusion-exclusion term) for single
-tables -- and every plan must come out the same as with the kernel off.
+estimate the optimizer asks for must equal the scalar oracle
+(:class:`NaiveFactorJoin`: one ``TreeBayesNet`` pass per call site, one
+``TreeBayesNet.selectivity`` per inclusion-exclusion term) exactly, and
+every plan must come out the same as when planned on the oracle.
 """
 
 import sys
@@ -16,11 +16,12 @@ import threading
 import pytest
 
 from repro.engine.optimizer import Optimizer
-from repro.estimators.bn.estimator import scalar_table_selectivity
 from repro.estimators.factorjoin import FactorJoinEstimator
 from repro.obs import MetricsRegistry
+from repro.serving import PlanDistributionCache
 from repro.sql.query import CardQuery, JoinCondition, PredicateOp, TablePredicate
 from repro.workloads.generator import WorkloadSpec, generate_workload
+from tests.estimators.oracles import NaiveFactorJoin
 
 DATASETS = ("stats", "imdb", "aeolus")
 
@@ -41,9 +42,9 @@ def trained(request):
     return out
 
 
-def _estimator(fj, kernel, metrics=None):
+def _estimator(fj, metrics=None):
     return FactorJoinEstimator(
-        fj.catalog, fj.models, fj.bucketizer, kernel=kernel, metrics=metrics
+        fj.catalog, fj.models, fj.bucketizer, metrics=metrics
     )
 
 
@@ -84,7 +85,7 @@ def optimizer_queries(trained):
     unfiltered) and connected join subsets."""
     out = {}
     for name, (bundle, fj) in trained.items():
-        estimator = _estimator(fj, "numpy")
+        estimator = _estimator(fj)
         recorder = _Recording(estimator)
         optimizer = Optimizer(estimator, None, catalog=bundle.catalog)
         for query in _workload(bundle):
@@ -111,13 +112,13 @@ class TestBitIdentityWithScalarOracle:
 
     def test_join_estimates_equal_unshared(self, dataset, trained, optimizer_queries):
         _bundle, fj = trained[dataset]
-        estimator = _estimator(fj, "numpy")
+        estimator, naive = _estimator(fj), NaiveFactorJoin(fj)
         checked = 0
         for query in optimizer_queries[dataset]:
             if query.is_single_table() or not _model_tables(fj, query):
                 continue
             assert estimator.estimate_count(query) == (
-                estimator.estimate_count_unshared(query)
+                naive.estimate_count(query)
             ), query
             checked += 1
         assert checked
@@ -126,21 +127,19 @@ class TestBitIdentityWithScalarOracle:
         self, dataset, trained, optimizer_queries
     ):
         _bundle, fj = trained[dataset]
-        estimator = _estimator(fj, "numpy")
+        estimator, naive = _estimator(fj), NaiveFactorJoin(fj)
         checked = 0
         for query in optimizer_queries[dataset]:
             if not query.is_single_table() or not _model_tables(fj, query):
                 continue
             table = query.tables[0]
             model = fj.models[table]
-            scalar = scalar_table_selectivity(model, query, table)
+            scalar = naive.table_selectivity(query, table)
             assert estimator.selectivity(query) == scalar, query
             assert estimator.estimate_count(query) == (
                 scalar * model.total_rows
             ), query
-            assert estimator.estimate_count_unshared(query) == (
-                scalar * model.total_rows
-            )
+            assert naive.estimate_count(query) == scalar * model.total_rows
             if not query.or_groups:
                 predicates = [p for p in query.predicates if p.table == table]
                 assert estimator.selectivity(query) == model.selectivity(predicates)
@@ -148,19 +147,23 @@ class TestBitIdentityWithScalarOracle:
         assert checked
 
     def test_kernel_off_path_agrees(self, dataset, trained, optimizer_queries):
+        # With the serving tier's cross-query plan cache installed, scopes
+        # primed by earlier requests are served to later ones; every answer
+        # must still be the oracle's.
         _bundle, fj = trained[dataset]
-        on, off = _estimator(fj, "numpy"), _estimator(fj, "off")
+        on, naive = _estimator(fj), NaiveFactorJoin(fj)
+        on.install_plan_cache(PlanDistributionCache())
         for query in optimizer_queries[dataset]:
             if not _model_tables(fj, query):
                 continue
-            assert on.estimate_count(query) == off.estimate_count(query), query
+            assert on.estimate_count(query) == naive.estimate_count(query), query
             if query.is_single_table():
-                assert on.selectivity(query) == off.selectivity(query), query
+                assert on.selectivity(query) == naive.selectivity(query), query
 
     def test_plans_unchanged(self, dataset, trained):
         bundle, fj = trained[dataset]
-        on = Optimizer(_estimator(fj, "numpy"), None, catalog=bundle.catalog)
-        off = Optimizer(_estimator(fj, "off"), None, catalog=bundle.catalog)
+        on = Optimizer(_estimator(fj), None, catalog=bundle.catalog)
+        off = Optimizer(NaiveFactorJoin(fj), None, catalog=bundle.catalog)
         for query in _workload(bundle):
             a, b = on.plan(query), off.plan(query)
             assert a.join_order == b.join_order, query.name
@@ -196,7 +199,7 @@ class TestRouting:
     def test_single_queries_run_on_the_kernel(self, trained):
         _bundle, fj = trained["stats"]
         registry = MetricsRegistry()
-        estimator = _estimator(fj, "numpy", metrics=registry)
+        estimator = _estimator(fj, metrics=registry)
         batches = registry.get("bn_kernel_batches_total")
         before = batches.value
         estimator.estimate_count(_chain())
@@ -217,19 +220,23 @@ class TestRouting:
 
     def test_pass_accounting_matches_the_scalar_path(self, trained):
         _bundle, fj = trained["stats"]
-        on, off = _estimator(fj, "numpy"), _estimator(fj, "off")
+        on = _estimator(fj)
         query = _chain()
         on.estimate_count(query)
-        off.estimate_count(query)
+        # One pass per scope (users, posts, unfiltered comments) plus one
+        # per distinct term of the posts OR group; requests are what the
+        # naive walk runs.
+        assert on.last_pass_stats.requested == (
+            NaiveFactorJoin(fj).pass_count(query)
+        )
+        assert on.last_pass_stats.executed == 6
         # comments' prior pass is the only one the kernel route shares.
-        assert on.last_pass_stats.requested == off.last_pass_stats.requested
-        assert on.last_pass_stats.executed == off.last_pass_stats.executed
         on.estimate_count(query)
-        assert on.last_pass_stats.executed == off.last_pass_stats.executed - 1
+        assert on.last_pass_stats.executed == 5
 
     def test_unfiltered_single_table_short_circuits(self, trained):
         _bundle, fj = trained["stats"]
-        estimator = _estimator(fj, "numpy")
+        estimator = _estimator(fj)
         query = CardQuery(tables=("users",))
         assert estimator.selectivity(query) == 1.0
         assert estimator.estimate_count(query) == fj.models["users"].total_rows
@@ -238,11 +245,12 @@ class TestRouting:
         # Threads share the compiled kernel plans, the prior cache and the
         # evidence cache; every thread must still see the oracle's values.
         _bundle, fj = trained["stats"]
-        estimator = _estimator(fj, "numpy")
+        estimator = _estimator(fj)
         queries = [
             q for q in optimizer_queries["stats"] if _model_tables(fj, q)
         ][:120]
-        expected = [estimator.estimate_count_unshared(q) for q in queries]
+        naive = NaiveFactorJoin(fj)
+        expected = [naive.estimate_count(q) for q in queries]
         results: dict[int, list[float]] = {}
 
         def worker(slot):

@@ -4,7 +4,8 @@ Covers the :class:`PlanDistributionCache` in isolation (canonical
 fingerprint keying, generation bumps, LRU bounds), installed into a real
 FactorJoin estimator (second identical query runs zero BN passes, bumps
 force re-inference), under a concurrent worker pool with mid-flight
-generation bumps (results must stay bit-identical to the unshared path),
+generation bumps (results must stay bit-identical to the naive scalar
+walk),
 and wired up by :class:`EstimationService` through the loader-refresh
 listener.
 """
@@ -27,6 +28,7 @@ from repro.sql.query import (
     PredicateOp,
     TablePredicate,
 )
+from tests.estimators.oracles import NaiveFactorJoin
 
 P_REP = TablePredicate("users", "Reputation", PredicateOp.GE, 10.0)
 P_VIEWS = TablePredicate("users", "Views", PredicateOp.LE, 100.0)
@@ -122,7 +124,7 @@ class TestEstimatorIntegration:
         stats_fj.install_plan_cache(cache)
         try:
             query = join_query(P_REP)
-            baseline = stats_fj.estimate_count_unshared(query)
+            baseline = NaiveFactorJoin(stats_fj).estimate_count(query)
             assert stats_fj.estimate_count(query) == baseline
             assert stats_fj.last_pass_stats.executed > 0
             assert stats_fj.estimate_count(query) == baseline
@@ -139,7 +141,7 @@ class TestEstimatorIntegration:
             stats_fj.estimate_count(query)
             cache.bump_tables(["users", "posts"])
             assert stats_fj.estimate_count(query) == (
-                stats_fj.estimate_count_unshared(query)
+                NaiveFactorJoin(stats_fj).estimate_count(query)
             )
             assert stats_fj.last_pass_stats.executed > 0
         finally:
@@ -152,7 +154,8 @@ class TestEstimatorIntegration:
             join_query(P_REP, P_VIEWS, name="q-both"),
             join_query(name="q-none"),
         ]
-        expected = {q.name: stats_fj.estimate_count_unshared(q) for q in queries}
+        naive = NaiveFactorJoin(stats_fj)
+        expected = {q.name: naive.estimate_count(q) for q in queries}
         cache = PlanDistributionCache()
         stats_fj.install_plan_cache(cache)
         stop = threading.Event()
